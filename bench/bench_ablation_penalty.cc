@@ -84,7 +84,9 @@ int main(int argc, char** argv) {
         for (const auto& [link, rate] : instances[i]) {
           corruption.mark(link, rate);
         }
-        core::Optimizer optimizer(topo, constraint, shapes[s].penalty);
+        core::LivePathCounts path_counts(topo);
+        core::Optimizer optimizer(topo, path_counts, constraint,
+                                  shapes[s].penalty);
         runs[unit].disabled = optimizer.run(corruption).disabled;
         for (const auto& [link, rate] : instances[i]) {
           if (topo.is_enabled(link)) runs[unit].residual_rate += rate;

@@ -83,7 +83,8 @@ int main(int argc, char** argv) {
         for (common::LinkId link : gadget.corrupting) {
           corruption.mark(link, 1e-3);
         }
-        core::Optimizer optimizer(gadget.topo, gadget.connectivity,
+        core::LivePathCounts path_counts(gadget.topo);
+        core::Optimizer optimizer(gadget.topo, path_counts, gadget.connectivity,
                                   core::PenaltyFunction::linear());
         const auto start = std::chrono::steady_clock::now();
         const core::OptimizerResult result = optimizer.run(corruption);

@@ -62,6 +62,7 @@ FleetArgs parse_fleet_args(int argc, char** argv) {
       std::exit(2);
     }
   }
+  corropt::bench::require_writable_dir(args.base.json_dir, argv[0]);
   return args;
 }
 

@@ -79,7 +79,8 @@ int main(int argc, char** argv) {
 
     core::SwitchLocalChecker local(local_topo, result.sc);
     core::CapacityConstraint constraint(0.75);
-    core::FastChecker global(global_topo, constraint);
+    core::LivePathCounts path_counts(global_topo);
+    core::FastChecker global(global_topo, path_counts, constraint);
     for (common::LinkId link : corrupting) {
       result.local_disabled += local.try_disable(link);
       result.global_disabled += global.try_disable(link);

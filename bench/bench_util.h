@@ -202,6 +202,7 @@ inline BenchArgs parse_bench_args(int argc, char** argv) {
       std::exit(2);
     }
   }
+  require_writable_dir(args.json_dir, argv[0]);
   return args;
 }
 

@@ -75,6 +75,7 @@ inline int run_gbench_with_json(int argc, char** argv, const char* exhibit) {
       rest.push_back(argv[i]);
     }
   }
+  require_writable_dir(json_dir, argv[0]);
   int rest_argc = static_cast<int>(rest.size());
   benchmark::Initialize(&rest_argc, rest.data());
   if (benchmark::ReportUnrecognizedArguments(rest_argc, rest.data())) {

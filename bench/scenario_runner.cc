@@ -1,10 +1,15 @@
 #include "scenario_runner.h"
 
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <stdexcept>
+#include <system_error>
 #include <thread>
+
+#include <unistd.h>
 
 #include "common/json.h"
 #include "common/rng.h"
@@ -204,6 +209,17 @@ std::size_t configured_thread_count() {
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
+}
+
+void require_writable_dir(const std::string& dir, const char* argv0) {
+  std::error_code error;
+  if (std::filesystem::is_directory(dir, error) &&
+      ::access(dir.c_str(), W_OK | X_OK) == 0) {
+    return;
+  }
+  std::fprintf(stderr, "%s: --json-dir=%s is not a writable directory\n",
+               argv0, dir.c_str());
+  std::exit(2);
 }
 
 void open_metrics_document(common::JsonWriter& json, const std::string& schema,

@@ -182,6 +182,11 @@ void write_metrics_json(const std::string& path, const std::string& exhibit,
                         const std::vector<ScenarioResult>& results,
                         const MetricsJsonOptions& options = {});
 
+// Exits 2 with a message unless `dir` is a writable directory; every
+// --json-dir parser calls it, so a bad directory fails before the run
+// instead of after it.
+void require_writable_dir(const std::string& dir, const char* argv0);
+
 // Shared document envelope of every metrics JSON this repo writes
 // (corropt-bench-metrics/1, corropt-obs-metrics/1): opens the root
 // object, emits schema/exhibit/generator (+ "threads" when nonzero), and

@@ -131,16 +131,18 @@ int cmd_plan(int argc, char** argv) {
               "%.0f%%:\n",
               corruption.size(), capacity * 100.0);
   // Phase 1: the fast checker, per link in detection order (as the
-  // controller would have run it online).
-  core::FastChecker checker(*topo, constraint);
+  // controller would have run it online). Both phases share one set of
+  // live path counts, as inside the controller.
+  core::LivePathCounts path_counts(*topo);
+  core::FastChecker checker(*topo, path_counts, constraint);
   for (common::LinkId link : corruption.active_in_detection_order(*topo)) {
     const bool disabled = checker.try_disable(link);
     std::printf("  fast checker: link %-6u rate %.2e -> %s\n", link.value(),
                 corruption.rate(link),
                 disabled ? "DISABLE" : "keep (capacity)");
   }
-  // Phase 2: the optimizer over whatever is left.
-  core::Optimizer optimizer(*topo, constraint,
+  // Phase 2: the optimizer over whatever is left, on the same counts.
+  core::Optimizer optimizer(*topo, path_counts, constraint,
                             core::PenaltyFunction::linear());
   const core::OptimizerResult result = optimizer.run(corruption);
   for (common::LinkId link : result.disabled) {

@@ -99,22 +99,4 @@ telemetry::PollSample MeasurementStudy::sample(common::DirectionId dir,
                                            load, poll_seed_);
 }
 
-void MeasurementStudy::run(
-    const std::function<void(const telemetry::PollSample&)>& visit) const {
-  // The visitor is an accumulator whose partials feed it directly; run()
-  // without a pool executes tiles in order, so the visitor sees the
-  // documented direction-major sample order.
-  struct VisitorAccumulator {
-    const std::function<void(const telemetry::PollSample&)>* visit;
-    struct Partial {
-      const std::function<void(const telemetry::PollSample&)>* visit;
-      void add(const telemetry::PollSample& s) { (*visit)(s); }
-    };
-    [[nodiscard]] Partial make_partial() const { return Partial{visit}; }
-    void merge(Partial&) {}
-  };
-  VisitorAccumulator acc{&visit};
-  run(acc, nullptr);
-}
-
 }  // namespace corropt::analysis

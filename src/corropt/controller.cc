@@ -14,21 +14,19 @@ Controller::Controller(topology::Topology& topo, ControllerConfig config,
       config_(config),
       penalty_(penalty),
       constraint_(config.capacity_fraction),
-      fast_checker_(topo, constraint_),
+      counts_(topo, config.incremental),
+      fast_checker_(topo, counts_, constraint_),
       switch_local_(topo, switch_local_threshold(config.capacity_fraction,
                                                  std::max(1, topo.top_level()))),
-      optimizer_(topo, constraint_, penalty, config.optimizer) {
-  if (config_.incremental) {
-    optimizer_.set_incremental(true);
-    fast_checker_.set_incremental(true);
-  }
+      optimizer_(topo, counts_, constraint_, penalty, config.optimizer) {
+  optimizer_.set_incremental(config_.incremental);
 }
 
 void Controller::note_state_changed(
     std::span<const common::LinkId> links) {
   if (!config_.incremental) return;
+  counts_.note_links_changed(links);
   optimizer_.note_links_changed(links);
-  fast_checker_.note_links_changed(links);
 }
 
 void Controller::enable_audit_log(std::size_t capacity) {
@@ -38,6 +36,7 @@ void Controller::enable_audit_log(std::size_t capacity) {
 
 void Controller::set_sink(obs::Sink* sink) {
   sink_ = sink;
+  counts_.set_sink(sink);
   fast_checker_.set_sink(sink);
   optimizer_.set_sink(sink);
   if (sink == nullptr || sink->metrics == nullptr) {
@@ -109,8 +108,8 @@ bool Controller::arrival_disable(common::LinkId link) {
         return true;
       }
       if (fast_checker_.try_disable(link)) {
-        // The fast checker's own cache self-maintained; the note reaches
-        // the optimizer's pending list.
+        // The fast checker already folded the change into the counts;
+        // the note reaches the optimizer's segment cache.
         note_state_changed({&link, 1});
         return true;
       }
@@ -176,8 +175,12 @@ void Controller::recheck_all_active() {
 
 void Controller::on_link_repaired(common::LinkId link) {
   corruption_.unmark(link);
-  topo_->set_enabled(link, true);
-  note_state_changed({&link, 1});
+  // Only an effective change may be noted: the version-gap checks
+  // behind the notes count one bump per noted link.
+  if (!topo_->is_enabled(link)) {
+    topo_->set_enabled(link, true);
+    note_state_changed({&link, 1});
+  }
   audit({ActionRecord::Kind::kEnabled, link, 0.0, 0});
   emit_link(obs::EventKind::kLinkEnabled, obs::EventReason::kNone, link, 0.0);
   switch (config_.mode) {
@@ -196,7 +199,9 @@ void Controller::on_link_repaired(common::LinkId link) {
       }
       const OptimizerResult result = optimizer_.run(corruption_);
       if (cold_topo != nullptr) {
-        Optimizer cold(*cold_topo, constraint_, penalty_, config_.optimizer);
+        LivePathCounts cold_counts(*cold_topo);
+        Optimizer cold(*cold_topo, cold_counts, constraint_, penalty_,
+                       config_.optimizer);
         const OptimizerResult cold_result = cold.run(corruption_);
         if (cold_result.disabled != result.disabled ||
             cold_result.disabled_penalty != result.disabled_penalty ||
@@ -207,7 +212,7 @@ void Controller::on_link_repaired(common::LinkId link) {
         }
       }
       // The optimizer already noted its own disables internally; this
-      // reaches the fast checker's cached counts.
+      // folds them into the live counts.
       note_state_changed(result.disabled);
       stats_.disabled_on_activation += result.disabled.size();
       obs_disabled_activation_.add(result.disabled.size());
@@ -251,7 +256,7 @@ void Controller::snapshot_to(common::snap::Writer& w) const {
   w.u64(stats_.tickets_issued);
   w.u64(stats_.optimizer_runs);
   corruption_.snapshot_to(w);
-  fast_checker_.snapshot_to(w);
+  counts_.snapshot_to(w);
   w.boolean(audit_enabled_);
   w.u64(audit_capacity_);
   w.u64(audit_log_.size());
@@ -271,7 +276,7 @@ void Controller::restore_from(common::snap::Reader& r) {
   stats_.tickets_issued = r.u64();
   stats_.optimizer_runs = r.u64();
   corruption_.restore_from(r);
-  fast_checker_.restore_from(r);
+  counts_.restore_from(r);
   audit_enabled_ = r.boolean();
   audit_capacity_ = r.u64();
   audit_log_.clear();
@@ -284,7 +289,7 @@ void Controller::restore_from(common::snap::Reader& r) {
     record.detail = r.u64();
     audit_log_.push_back(record);
   }
-  // The optimizer's derived caches are keyed by the topology's state
+  // The optimizer's derived state is keyed by the topology's state
   // version; a restore can rewind the counter to a value already seen
   // with a different enabled mask, so a stale hit here would corrupt the
   // next run. Dropping them is free of observable effects: re-derivation

@@ -20,6 +20,7 @@
 #include "corropt/corruption_set.h"
 #include "corropt/fast_checker.h"
 #include "corropt/optimizer.h"
+#include "corropt/path_counter.h"
 #include "corropt/penalty.h"
 #include "corropt/switch_local.h"
 #include "obs/sink.h"
@@ -51,14 +52,14 @@ struct ControllerConfig {
   // breakout bundle off. (The switch-local baseline has no equivalent.)
   bool account_collateral_repair = false;
 
-  // Incremental control loop (DESIGN.md §12): keep the optimizer's and
-  // fast checker's derived state (path counts, closures, segment
-  // solutions) alive across events, invalidating only what each change
-  // touches. Decisions — disable sets, enabled mask, penalties, tickets,
-  // journal decision events — are identical to the default cold path;
-  // only search-effort diagnostics (kOptimizerRun.detail1, the
-  // optimizer.subsets_evaluated / cache-skip counters, and
-  // fastcheck.cache_refreshes / delta_updates) may differ.
+  // Incremental control loop (DESIGN.md §12): keep the live path counts
+  // and the optimizer's derived state (closures, segment solutions) alive
+  // across events, invalidating only what each change touches. Decisions
+  // — disable sets, enabled mask, penalties, tickets, journal decision
+  // events — are identical to the default cold path; only search-effort
+  // diagnostics (kOptimizerRun.detail1, the optimizer.subsets_evaluated /
+  // cache-skip counters, and fastcheck.cache_refreshes / delta_updates)
+  // may differ.
   bool incremental = false;
   // Debug mode: after every optimizer run, replay the event cold on a
   // topology copy and throw std::logic_error if the disable set, the
@@ -81,6 +82,9 @@ class Controller {
   }
 
   [[nodiscard]] CapacityConstraint& mutable_constraint() {
+    return constraint_;
+  }
+  [[nodiscard]] const CapacityConstraint& constraint() const {
     return constraint_;
   }
 
@@ -118,6 +122,10 @@ class Controller {
   [[nodiscard]] const Stats& stats() const { return stats_; }
   // Read access to the optimizer (e.g. incremental_stats() in tests).
   [[nodiscard]] const Optimizer& optimizer() const { return optimizer_; }
+  // The one set of live up-path counts for this topology, shared by the
+  // fast checker and the optimizer. Other readers (capacity sampling,
+  // maintenance checks) use it instead of recounting the fabric.
+  [[nodiscard]] LivePathCounts& path_counts() { return counts_; }
 
   // Structured audit trail of controller decisions, for operator
   // tooling and post-incident review. Off by default; bounded to the
@@ -147,13 +155,12 @@ class Controller {
   // changes a decision. Pass nullptr to detach.
   void set_sink(obs::Sink* sink);
 
-  // Checkpointing (DESIGN.md §14): stats, the corruption set, the fast
-  // checker's path-count cache, and the audit trail. The optimizer's
-  // derived state (baseline counts, incremental caches) is not
-  // serialized — it is version-keyed against the topology and
-  // re-derives deterministically, producing identical decisions either
-  // way. Config, constraint and callback belong to the restoring
-  // context and are untouched.
+  // Checkpointing (DESIGN.md §14): stats, the corruption set, the live
+  // path counts, and the audit trail. The optimizer's derived state
+  // (violated-ToR baseline, incremental caches) is not serialized — it is
+  // version-keyed against the topology and re-derives deterministically,
+  // producing identical decisions either way. Config, constraint and
+  // callback belong to the restoring context and are untouched.
   void snapshot_to(common::snap::Writer& w) const;
   void restore_from(common::snap::Reader& r);
 
@@ -163,9 +170,9 @@ class Controller {
   void recheck_all_active();
   void issue_ticket(common::LinkId link);
   bool arrival_disable(common::LinkId link);
-  // Reports an enabled-state change to the incremental caches (no-op
-  // unless config_.incremental). Must be called after every effective
-  // set_enabled on topo_ outside the optimizer's own run.
+  // Reports an enabled-state change to the live path counts and the
+  // optimizer's segment cache (no-op unless config_.incremental). Must
+  // be called after every effective set_enabled the controller makes.
   void note_state_changed(std::span<const common::LinkId> links);
   void audit(ActionRecord record);
   // Journals a link-scoped event with the link's lower switch filled in.
@@ -176,6 +183,7 @@ class Controller {
   ControllerConfig config_;
   PenaltyFunction penalty_;
   CapacityConstraint constraint_;
+  LivePathCounts counts_;
   FastChecker fast_checker_;
   SwitchLocalChecker switch_local_;
   Optimizer optimizer_;

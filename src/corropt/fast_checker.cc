@@ -4,9 +4,9 @@
 
 namespace corropt::core {
 
-FastChecker::FastChecker(topology::Topology& topo,
+FastChecker::FastChecker(topology::Topology& topo, LivePathCounts& counts,
                          const CapacityConstraint& constraint)
-    : topo_(&topo), constraint_(&constraint), paths_(topo) {
+    : topo_(&topo), counts_(&counts), constraint_(&constraint) {
   in_closure_.assign(topo.switch_count(), 0);
   slot_.assign(topo.switch_count(), -1);
 }
@@ -16,8 +16,6 @@ void FastChecker::set_sink(obs::Sink* sink) {
   if (sink == nullptr || sink->metrics == nullptr) {
     obs_checks_ = obs::Counter();
     obs_disables_ = obs::Counter();
-    obs_cache_refreshes_ = obs::Counter();
-    obs_delta_updates_ = obs::Counter();
     obs_closure_switches_ = obs::Counter();
     obs_check_timer_ = obs::Histogram();
     return;
@@ -25,39 +23,8 @@ void FastChecker::set_sink(obs::Sink* sink) {
   obs::MetricsRegistry& metrics = *sink->metrics;
   obs_checks_ = metrics.counter("fastcheck.checks");
   obs_disables_ = metrics.counter("fastcheck.disables");
-  obs_cache_refreshes_ = metrics.counter("fastcheck.cache_refreshes");
-  // Registered only in incremental mode: the default path must leave the
-  // metrics registry (and thus the golden digests) untouched.
-  obs_delta_updates_ = incremental_ ? metrics.counter("fastcheck.delta_updates")
-                                    : obs::Counter();
   obs_closure_switches_ = metrics.counter("fastcheck.closure_switches");
   obs_check_timer_ = metrics.timer("fastcheck.check_s");
-}
-
-void FastChecker::note_links_changed(
-    std::span<const common::LinkId> links) {
-  if (!incremental_ || !cache_valid_) return;
-  const std::uint64_t version = topo_->state_version();
-  if (cached_version_ == version) return;
-  // Each effective enabled-state change bumps the version by one; a gap
-  // this note cannot account for means an unnoted change slipped in, so
-  // the delta fold would miss links. Drop the cache and resweep lazily.
-  if (version - cached_version_ > links.size()) {
-    cache_valid_ = false;
-    return;
-  }
-  paths_.refresh_counts_after_changes(cached_counts_, links, nullptr,
-                                      note_scratch_);
-  cached_version_ = version;
-  obs_delta_updates_.add();
-}
-
-void FastChecker::refresh_cache() {
-  if (cache_valid_ && cached_version_ == topo_->state_version()) return;
-  cached_counts_ = paths_.up_paths();
-  cached_version_ = topo_->state_version();
-  cache_valid_ = true;
-  obs_cache_refreshes_.add();
 }
 
 FastChecker::ClosureResult FastChecker::evaluate_closure(
@@ -88,7 +55,8 @@ FastChecker::ClosureResult FastChecker::evaluate_closure(
   ClosureResult result;
   result.updates.reserve(closure_.size());
   // New counts for closure members (dense slots); switches outside the
-  // closure read from the cache — their counts cannot change.
+  // closure read the current counts — theirs cannot change.
+  const std::vector<std::uint64_t>& counts = counts_->current();
   std::vector<std::uint64_t> new_counts(closure_.size(), 0);
   for (std::size_t i = 0; i < closure_.size(); ++i) {
     slot_[closure_[i].index()] = static_cast<std::int32_t>(i);
@@ -103,13 +71,13 @@ FastChecker::ClosureResult FastChecker::evaluate_closure(
       const std::int32_t upper_slot = slot_[upper.index()];
       total += upper_slot >= 0
                    ? new_counts[static_cast<std::size_t>(upper_slot)]
-                   : cached_counts_[upper.index()];
+                   : counts[upper.index()];
     }
     new_counts[i] = total;
     result.updates.emplace_back(closure_[i], total);
     if (sw.level == 0 &&
-        constraint_->below_min(sw.id, paths_.design_paths()[sw.id.index()],
-                               total)) {
+        constraint_->below_min(
+            sw.id, counts_->paths().design_paths()[sw.id.index()], total)) {
       result.feasible = false;
     }
   }
@@ -127,7 +95,6 @@ bool FastChecker::can_disable(common::LinkId link) {
   const obs::ScopedTimer timer(obs_check_timer_,
                                sink_ != nullptr ? sink_->trace : nullptr,
                                "fastcheck.can_disable");
-  refresh_cache();
   const ClosureResult result = evaluate_closure(link);
   obs_checks_.add();
   obs_closure_switches_.add(result.updates.size());
@@ -140,8 +107,8 @@ bool FastChecker::can_disable(
   LinkMask off(topo_->link_count());
   off.set(link.index());
   for (common::LinkId extra : also_off) off.set(extra.index());
-  const std::vector<std::uint64_t> counts = paths_.up_paths(&off);
-  return paths_.feasible(counts, *constraint_);
+  const PathCounter& paths = counts_->paths();
+  return paths.feasible(paths.up_paths(&off), *constraint_);
 }
 
 bool FastChecker::try_disable(common::LinkId link) {
@@ -149,36 +116,16 @@ bool FastChecker::try_disable(common::LinkId link) {
   const obs::ScopedTimer timer(obs_check_timer_,
                                sink_ != nullptr ? sink_->trace : nullptr,
                                "fastcheck.try_disable");
-  refresh_cache();
   const ClosureResult result = evaluate_closure(link);
   obs_checks_.add();
   obs_closure_switches_.add(result.updates.size());
   if (!result.feasible) return false;
   obs_disables_.add();
   topo_->set_enabled(link, false);
-  // Fold the closure's new counts into the cache so consecutive
+  // Fold the closure's new counts into the shared cache so consecutive
   // decisions stay incremental.
-  for (const auto& [sw, value] : result.updates) {
-    cached_counts_[sw.index()] = value;
-  }
-  cached_version_ = topo_->state_version();
+  counts_->fold(result.updates);
   return true;
-}
-
-void FastChecker::snapshot_to(common::snap::Writer& w) const {
-  w.section(common::snap::tag('F', 'C', 'H', 'K'), 1);
-  w.boolean(cache_valid_);
-  w.u64(cached_version_);
-  w.u64(cached_counts_.size());
-  for (std::uint64_t count : cached_counts_) w.u64(count);
-}
-
-void FastChecker::restore_from(common::snap::Reader& r) {
-  r.expect_section(common::snap::tag('F', 'C', 'H', 'K'));
-  cache_valid_ = r.boolean();
-  cached_version_ = r.u64();
-  cached_counts_.resize(r.u64());
-  for (std::uint64_t& count : cached_counts_) count = r.u64();
 }
 
 }  // namespace corropt::core

@@ -9,9 +9,10 @@
 // switch directly downstream of l" — the checker caches the network's
 // path counts and, per decision, recomputes only the downward closure of
 // the candidate's lower endpoint: O(1) work per link of the affected
-// subtree rather than of the whole DCN. A topology state-version counter
-// keeps the cache coherent when other actors (the optimizer, repairs)
-// flip links.
+// subtree rather than of the whole DCN. The cached counts are the
+// controller's LivePathCounts, shared with the optimizer and kept
+// coherent by the topology's state version when other actors (the
+// optimizer, repairs) flip links.
 //
 // Precondition for the incremental path: the network currently satisfies
 // every ToR's constraint (the controller maintains this invariant). ToRs
@@ -24,7 +25,6 @@
 #include <vector>
 
 #include "common/ids.h"
-#include "common/snapshot.h"
 #include "corropt/capacity.h"
 #include "corropt/path_counter.h"
 #include "obs/sink.h"
@@ -34,8 +34,10 @@ namespace corropt::core {
 
 class FastChecker {
  public:
-  // The checker mutates link state on `topo` when it disables a link.
-  FastChecker(topology::Topology& topo, const CapacityConstraint& constraint);
+  // The checker mutates link state on `topo` when it disables a link,
+  // and reads and maintains `counts` (built over the same topology).
+  FastChecker(topology::Topology& topo, LivePathCounts& counts,
+              const CapacityConstraint& constraint);
 
   // Returns true (and disables `link`) when the network stays feasible
   // with `link` off; otherwise leaves the link enabled and returns false.
@@ -55,34 +57,10 @@ class FastChecker {
                                  std::span<const common::LinkId> also_off)
       const;
 
-  [[nodiscard]] const PathCounter& paths() const { return paths_; }
-
   // Attaches observability: per-decision counters ("fastcheck.checks",
-  // ".disables", ".cache_refreshes", ".delta_updates",
-  // ".closure_switches") and the "fastcheck.check_s" wall-clock timer.
-  // Pass nullptr to detach.
+  // ".disables", ".closure_switches") and the "fastcheck.check_s"
+  // wall-clock timer. Pass nullptr to detach.
   void set_sink(obs::Sink* sink);
-
-  // Incremental mode (DESIGN.md §12): when on, note_links_changed folds
-  // an external enabled-state change into the cached counts by
-  // recounting only the changed links' downward closure, instead of the
-  // full-fabric refresh the next decision would otherwise pay. Verdicts
-  // are identical either way.
-  void set_incremental(bool enabled) { incremental_ = enabled; }
-
-  // Reports external enabled-state changes of `links` (the checker's own
-  // try_disable already self-maintains). No-op outside incremental mode
-  // or when the cache is cold; unnoted changes are still caught by the
-  // state-version check and trigger a full refresh.
-  void note_links_changed(std::span<const common::LinkId> links);
-
-  // Checkpointing (DESIGN.md §14): the path-count cache and its version
-  // key. Serialized faithfully — invalidating instead would make a
-  // restored run pay (and count, via fastcheck.cache_refreshes) an
-  // extra refresh the equivalent fresh run never performs, breaking
-  // registry-digest equivalence.
-  void snapshot_to(common::snap::Writer& w) const;
-  void restore_from(common::snap::Reader& r);
 
  private:
   struct ClosureResult {
@@ -92,21 +70,13 @@ class FastChecker {
     std::vector<std::pair<common::SwitchId, std::uint64_t>> updates;
   };
 
-  // Recomputes cached path counts from scratch when the topology changed
-  // behind our back.
-  void refresh_cache();
   // Evaluates the downstream closure of `link`'s lower endpoint with the
-  // link masked off.
+  // link masked off, against the current counts.
   ClosureResult evaluate_closure(common::LinkId link);
 
   topology::Topology* topo_;
+  LivePathCounts* counts_;
   const CapacityConstraint* constraint_;
-  PathCounter paths_;
-  std::vector<std::uint64_t> cached_counts_;
-  std::uint64_t cached_version_ = 0;
-  bool cache_valid_ = false;
-  bool incremental_ = false;
-  PathCounter::SweepScratch note_scratch_;
   // Scratch for closure traversal.
   std::vector<char> in_closure_;
   std::vector<common::SwitchId> closure_;
@@ -116,8 +86,6 @@ class FastChecker {
   obs::Sink* sink_ = nullptr;
   obs::Counter obs_checks_;
   obs::Counter obs_disables_;
-  obs::Counter obs_cache_refreshes_;
-  obs::Counter obs_delta_updates_;
   obs::Counter obs_closure_switches_;
   obs::Histogram obs_check_timer_;
 };

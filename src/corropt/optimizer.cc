@@ -100,77 +100,39 @@ bool region_feasible(OptimizerSegmentScratch& s, SelectedFn&& selected) {
 
 }  // namespace
 
-Optimizer::Optimizer(topology::Topology& topo,
+Optimizer::Optimizer(topology::Topology& topo, LivePathCounts& counts,
                      const CapacityConstraint& constraint,
                      PenaltyFunction penalty, OptimizerConfig config)
     : topo_(&topo),
+      counts_(&counts),
       constraint_(&constraint),
       penalty_(penalty),
       config_(config),
-      paths_(topo),
       scratch_(std::make_unique<OptimizerSegmentScratch>()) {
   scratch_paths_.resize(topo.switch_count(), 0);
   scratch_mask_.assign(topo.link_count());
-  refresh_baseline();
 }
 
 Optimizer::~Optimizer() = default;
 
-void Optimizer::refresh_baseline() {
-  if (baseline_version_ == topo_->state_version() &&
-      !baseline_counts_.empty()) {
-    return;
-  }
-  if (incremental_ && !baseline_counts_.empty() && !pending_changed_.empty()) {
-    // Every effective enabled-state change since the baseline was taken
-    // is in pending_changed_ (sync_incremental_state degrades to a cold
-    // rebuild otherwise), so recounting the downward closure of those
-    // links brings the counts to the current state exactly.
-    paths_.refresh_counts_after_changes(baseline_counts_, pending_changed_,
-                                        &touched_tors_, sweep_scratch_);
-    merge_baseline_violated();
-    ++inc_stats_.baseline_delta_recounts;
-  } else {
-    paths_.up_paths_into(baseline_counts_);
-    baseline_violated_ = paths_.violated_tors(baseline_counts_, *constraint_);
-    if (incremental_) ++inc_stats_.baseline_full_recounts;
-  }
-  pending_changed_.clear();
-  baseline_version_ = topo_->state_version();
-}
-
-void Optimizer::merge_baseline_violated() {
-  if (touched_tors_.empty()) return;
-  // Both lists are id-sorted: baseline_violated_ by construction
-  // (violated_tors / masked_violated_tors_into), touched_tors_ because
-  // sweep nodes come in id order within the ToR level. Two-pointer merge
-  // re-evaluating only the touched ToRs' verdicts.
-  std::vector<SwitchId> merged;
-  merged.reserve(baseline_violated_.size() + touched_tors_.size());
-  std::size_t a = 0;
-  std::size_t b = 0;
-  while (a < baseline_violated_.size() || b < touched_tors_.size()) {
-    if (b == touched_tors_.size() ||
-        (a < baseline_violated_.size() &&
-         baseline_violated_[a] < touched_tors_[b])) {
-      merged.push_back(baseline_violated_[a++]);
-      continue;
-    }
-    const SwitchId tor = touched_tors_[b++];
-    if (a < baseline_violated_.size() && baseline_violated_[a] == tor) ++a;
-    if (constraint_->below_min(tor, paths_.design_paths()[tor.index()],
-                               baseline_counts_[tor.index()])) {
-      merged.push_back(tor);
+const std::vector<std::uint64_t>& Optimizer::refresh_baseline() {
+  const std::uint64_t recounts = counts_->full_recounts();
+  const std::vector<std::uint64_t>& counts = counts_->current();
+  if (counts_->version() != violated_version_) {
+    baseline_violated_ = paths().violated_tors(counts, *constraint_);
+    violated_version_ = counts_->version();
+    if (incremental_) {
+      ++(counts_->full_recounts() != recounts
+             ? inc_stats_.baseline_full_recounts
+             : inc_stats_.baseline_delta_recounts);
     }
   }
-  baseline_violated_ = std::move(merged);
+  return counts;
 }
 
 void Optimizer::drop_derived_state() {
-  baseline_counts_.clear();
   baseline_violated_.clear();
-  baseline_version_ = 0;
-  pending_changed_.clear();
+  violated_version_ = kNoVersion;
   drift_ = false;
   segment_cache_.clear();
   if (incremental_) tracked_version_ = topo_->state_version();
@@ -179,12 +141,11 @@ void Optimizer::drop_derived_state() {
 void Optimizer::set_incremental(bool enabled) {
   if (enabled == incremental_) return;
   incremental_ = enabled;
-  pending_changed_.clear();
   drift_ = false;
   if (enabled) {
     tracked_version_ = topo_->state_version();
     if (closures_ == nullptr) {
-      closures_ = std::make_unique<TorClosureCache>(paths_);
+      closures_ = std::make_unique<TorClosureCache>(paths());
     }
   } else {
     segment_cache_.clear();
@@ -205,13 +166,11 @@ void Optimizer::note_links_changed(std::span<const LinkId> links) {
   // Every effective enabled-state change bumps the version by exactly
   // one, and callers note each change they make. A version gap larger
   // than this note can account for means something changed behind our
-  // back with no note — the pending list is incomplete, so fall cold.
-  if (delta > links.size() ||
-      pending_changed_.size() + links.size() > kMaxPendingChanges) {
+  // back with no note — staleness marks may be missing, so fall cold.
+  if (delta > links.size()) {
     drift_ = true;  // Next run rebuilds from scratch.
     return;
   }
-  pending_changed_.insert(pending_changed_.end(), links.begin(), links.end());
   for (auto& [key, entry] : segment_cache_) {
     if (!entry.fresh) continue;
     for (LinkId link : links) {
@@ -227,15 +186,13 @@ void Optimizer::sync_incremental_state() {
   ++inc_stats_.runs;
   if (topo_->state_version() != tracked_version_) {
     // The topology changed behind our back (no note_links_changed):
-    // the pending list is incomplete, so nothing cached can be trusted.
+    // staleness marks are incomplete, so no cached segment can be trusted.
     drift_ = true;
     tracked_version_ = topo_->state_version();
   }
   if (drift_) {
     ++inc_stats_.cold_fallbacks;
     segment_cache_.clear();
-    baseline_counts_.clear();  // Forces a full recount in refresh_baseline.
-    pending_changed_.clear();
     drift_ = false;
   }
 }
@@ -265,7 +222,7 @@ void Optimizer::compile_region(const Segment& segment,
   while (!s.frontier.empty()) {
     const std::uint32_t current = s.frontier.back();
     s.frontier.pop_back();
-    const PathCounter::UplinkSpan span = paths_.uplinks_of(current);
+    const PathCounter::UplinkSpan span = paths().uplinks_of(current);
     for (std::size_t u = 0; u < span.count; ++u) {
       const std::uint32_t upper = span.upper[u];
       if (!s.in_region[upper]) {
@@ -285,8 +242,8 @@ void Optimizer::compile_region(const Segment& segment,
   s.const_base.clear();
   s.required.clear();
   const common::DynamicBitset& enabled = topo_->enabled_mask();
-  const std::span<const std::uint32_t> sweep = paths_.sweep_order();
-  const std::size_t top_count = paths_.top_switch_count();
+  const std::span<const std::uint32_t> sweep = paths().sweep_order();
+  const std::size_t top_count = paths().top_switch_count();
   for (std::size_t i = 0; i < sweep.size(); ++i) {
     const std::uint32_t sw = sweep[i];
     if (!s.in_region[sw]) continue;
@@ -294,7 +251,7 @@ void Optimizer::compile_region(const Segment& segment,
       s.baseline[sw] = 1;  // Top level: constant, never affected.
       continue;
     }
-    const PathCounter::UplinkSpan span = paths_.uplinks_of(sw);
+    const PathCounter::UplinkSpan span = paths().uplinks_of(sw);
     std::uint64_t base_total = 0;
     bool affected = false;
     for (std::size_t u = 0; u < span.count; ++u) {
@@ -331,7 +288,7 @@ void Optimizer::compile_region(const Segment& segment,
     const topology::Switch& info = topo_->switches()[sw];
     s.required.push_back(
         info.level == 0
-            ? constraint_->min_paths(info.id, paths_.design_paths()[sw])
+            ? constraint_->min_paths(info.id, paths().design_paths()[sw])
             : 0);
   }
   s.edge_offset.push_back(static_cast<std::uint32_t>(s.edges.size()));
@@ -354,7 +311,7 @@ OptimizerSegmentOutcome Optimizer::solve_segment(
     out.region.assign(topo_->link_count());
     for (std::size_t sw = 0; sw < s.in_region.size(); ++sw) {
       if (!s.in_region[sw]) continue;
-      const PathCounter::UplinkSpan span = paths_.uplinks_of(
+      const PathCounter::UplinkSpan span = paths().uplinks_of(
           static_cast<std::uint32_t>(sw));
       for (std::size_t u = 0; u < span.count; ++u) {
         out.region.set(span.link[u]);
@@ -367,7 +324,7 @@ OptimizerSegmentOutcome Optimizer::solve_segment(
   // solution without enumerating anything.
   for (SwitchId tor : segment.tors) {
     const std::uint64_t required =
-        constraint_->min_paths(tor, paths_.design_paths()[tor.index()]);
+        constraint_->min_paths(tor, paths().design_paths()[tor.index()]);
     if (s.baseline[tor.index()] < required) return out;
   }
 
@@ -643,13 +600,13 @@ OptimizerResult Optimizer::run_impl(const CorruptionSet& corruption) {
     // Hypothetically disable everything and see which ToRs complain. The
     // recount is incremental against cached unmasked counts: only the
     // downward closure of the candidates can change.
-    refresh_baseline();
+    const std::vector<std::uint64_t>& baseline = refresh_baseline();
     scratch_mask_.assign(topo_->link_count());
     for (LinkId link : candidates) scratch_mask_.set(link.index());
-    paths_.masked_violated_tors_into(endangered, baseline_counts_,
-                                     baseline_violated_, scratch_mask_,
-                                     candidates, *constraint_, scratch_paths_,
-                                     sweep_scratch_);
+    paths().masked_violated_tors_into(endangered, baseline,
+                                      baseline_violated_, scratch_mask_,
+                                      candidates, *constraint_,
+                                      scratch_paths_, sweep_scratch_);
     if (endangered.empty()) {
       // The full set is feasible: disable everything. `candidates` is
       // the id-sorted active set, so summing over it keeps the
@@ -673,7 +630,7 @@ OptimizerResult Optimizer::run_impl(const CorruptionSet& corruption) {
         scratch_mask_ |= closures_->closure(tor);
       }
     } else {
-      paths_.upstream_links_into(scratch_mask_, scratch_visited_, endangered);
+      paths().upstream_links_into(scratch_mask_, scratch_visited_, endangered);
     }
     contested.clear();
     for (LinkId link : candidates) {
@@ -690,7 +647,7 @@ OptimizerResult Optimizer::run_impl(const CorruptionSet& corruption) {
 
   std::vector<Segment> segments;
   if (config_.use_segmentation) {
-    segments = segment_candidates(paths_, contested, endangered,
+    segments = segment_candidates(paths(), contested, endangered,
                                   incremental_ ? closures_.get() : nullptr);
   } else if (!contested.empty()) {
     Segment all;
@@ -786,9 +743,9 @@ OptimizerResult Optimizer::run_impl(const CorruptionSet& corruption) {
   }
 
   // Persist the freshly solved segments for the next run, then note our
-  // own disables: the baseline delta-recount needs them pending, and any
-  // cache entry whose region they touch (including ones just stored that
-  // selected a link) must go stale — its pre-disable state is gone.
+  // own disables: any cache entry whose region they touch (including
+  // ones just stored that selected a link) must go stale — its
+  // pre-disable state is gone.
   if (incremental_) {
     for (std::size_t i = 0; i < segments.size(); ++i) {
       if (reused[i] != 0) continue;

@@ -115,10 +115,12 @@ struct OptimizerIncrementalStats {
   // Solves that started from a warm-start hint (previous solution of a
   // content-identical segment whose rates changed).
   std::size_t warm_hints = 0;
+  // Pruning passes whose baseline (the shared live path counts) moved
+  // to a new topology state by a full recount, or by delta folds.
   std::size_t baseline_full_recounts = 0;
   std::size_t baseline_delta_recounts = 0;
-  // Runs that had to rebuild everything because the topology changed
-  // without a note_links_changed() call (or the pending set overflowed).
+  // Runs that had to drop every cached segment because the topology
+  // changed without a note_links_changed() call.
   std::size_t cold_fallbacks = 0;
 };
 
@@ -129,8 +131,11 @@ struct OptimizerSegmentOutcome;
 
 class Optimizer {
  public:
-  Optimizer(topology::Topology& topo, const CapacityConstraint& constraint,
-            PenaltyFunction penalty, OptimizerConfig config = {});
+  // The optimizer mutates link state on `topo` and reads its pruning
+  // baseline from `counts` (built over the same topology).
+  Optimizer(topology::Topology& topo, LivePathCounts& counts,
+            const CapacityConstraint& constraint, PenaltyFunction penalty,
+            OptimizerConfig config = {});
   ~Optimizer();
 
   Optimizer(const Optimizer&) = delete;
@@ -148,34 +153,34 @@ class Optimizer {
   void set_sink(obs::Sink* sink);
 
   // Incremental mode (DESIGN.md §12). When on, the optimizer keeps its
-  // baseline path counts, per-ToR upstream closures, and per-segment
-  // solutions alive across runs, invalidating only what a noted link
-  // change can actually affect. Decisions are identical to a cold solve
-  // (disable set, penalties, enabled mask); only search-effort
-  // diagnostics (subsets_evaluated and friends) may differ. Requires
-  // the caller to report every external enabled-state or corruption-
-  // rate change via note_links_changed(); an unnoted topology change is
-  // detected by state_version and degrades to a cold solve.
+  // per-ToR upstream closures and per-segment solutions alive across
+  // runs, invalidating only what a noted link change can actually affect.
+  // Decisions are identical to a cold solve (disable set, penalties,
+  // enabled mask); only search-effort diagnostics (subsets_evaluated and
+  // friends) may differ. Requires the caller to report every external
+  // enabled-state or corruption-rate change via note_links_changed(); an
+  // unnoted topology change is detected by state_version and degrades to
+  // a cold solve.
   void set_incremental(bool enabled);
   [[nodiscard]] bool incremental() const { return incremental_; }
 
   // Reports that the enabled state or corruption rate of `links` changed
-  // since the last run()/note. Cheap: appends to a pending list and
-  // drops cached segment solutions whose sweep region intersects the
-  // changed links. Safe to call with links the optimizer itself just
-  // disabled (their entries simply go stale). No-op outside incremental
-  // mode.
+  // since the last run()/note. Cheap: marks stale the cached segment
+  // solutions whose sweep region intersects the changed links. Safe to
+  // call with links the optimizer itself just disabled (their entries
+  // simply go stale). No-op outside incremental mode. The path counts
+  // are noted separately, on their owner (LivePathCounts).
   void note_links_changed(std::span<const LinkId> links);
 
   [[nodiscard]] const OptimizerIncrementalStats& incremental_stats() const {
     return inc_stats_;
   }
 
-  // Drops all derived state (baseline path counts, incremental caches).
-  // Called on checkpoint restore (DESIGN.md §14): the caches are keyed
-  // by the topology's state version, and a restore can rewind the
-  // version counter to a value this optimizer already saw with a
-  // *different* enabled mask — a stale hit would silently corrupt the
+  // Drops all derived state (the baseline's violated-ToR list and the
+  // incremental caches). Called on checkpoint restore (DESIGN.md §14):
+  // they are keyed by the topology's state version, and a restore can
+  // rewind the version counter to a value this optimizer already saw with
+  // a *different* enabled mask — a stale hit would silently corrupt the
   // next run. Re-derivation is deterministic and touches no metrics, so
   // dropping keeps branch runs bit-identical to fresh ones.
   void drop_derived_state();
@@ -201,23 +206,25 @@ class Optimizer {
   void compile_region(const Segment& segment,
                       OptimizerSegmentScratch& scratch) const;
 
+  [[nodiscard]] const PathCounter& paths() const { return counts_->paths(); }
+
   topology::Topology* topo_;
+  LivePathCounts* counts_;
   const CapacityConstraint* constraint_;
   PenaltyFunction penalty_;
   OptimizerConfig config_;
-  PathCounter paths_;
   // Scratch reused across runs (serial phases only).
   std::vector<std::uint64_t> scratch_paths_;
   common::DynamicBitset scratch_mask_;
   std::vector<char> scratch_visited_;
   std::unique_ptr<OptimizerSegmentScratch> scratch_;
-  // Unmasked path counts (and the ToRs they violate, normally none) for
-  // the current enabled state, keyed by the topology's state version;
-  // lets the pruning pass recount only the downward closure of the
+  // The ToRs the shared counts violate (normally none), recomputed when
+  // the counts move to a new version. With the counts as the unmasked
+  // baseline, the pruning pass recounts only the downward closure of the
   // candidate links instead of the whole fabric.
-  std::vector<std::uint64_t> baseline_counts_;
+  static constexpr std::uint64_t kNoVersion = ~std::uint64_t{0};
   std::vector<SwitchId> baseline_violated_;
-  std::uint64_t baseline_version_ = 0;
+  std::uint64_t violated_version_ = kNoVersion;
   PathCounter::SweepScratch sweep_scratch_;
 
   // --- Incremental mode state (DESIGN.md §12) ---
@@ -236,18 +243,14 @@ class Optimizer {
   };
 
   void sync_incremental_state();
-  // Re-evaluates the violation flag of the ToRs in touched_tors_ and
-  // merges the result into the id-sorted baseline_violated_.
-  void merge_baseline_violated();
+  // Brings baseline_violated_ up to the current counts (returned).
+  const std::vector<std::uint64_t>& refresh_baseline();
 
   bool incremental_ = false;
-  // Set when the topology changed without a note (or pending overflow);
-  // the next run clears all incremental state first.
+  // Set when the topology changed without a note; the next run clears
+  // all incremental state first.
   bool drift_ = false;
   std::uint64_t tracked_version_ = 0;
-  std::vector<LinkId> pending_changed_;
-  static constexpr std::size_t kMaxPendingChanges = 1024;
-  std::vector<SwitchId> touched_tors_;
   std::unique_ptr<TorClosureCache> closures_;
   // Keyed by the segment's lowest candidate link id.
   std::unordered_map<std::uint32_t, CachedSegment> segment_cache_;
@@ -265,8 +268,6 @@ class Optimizer {
   obs::Counter obs_bound_skips_;
   obs::Histogram obs_disabled_per_run_;
   obs::Histogram obs_run_timer_;
-
-  void refresh_baseline();
 };
 
 }  // namespace corropt::core

@@ -443,4 +443,71 @@ std::uint64_t count_paths_brute_force(const topology::Topology& topo,
   return total;
 }
 
+LivePathCounts::LivePathCounts(const topology::Topology& topo,
+                               bool incremental)
+    : paths_(topo), incremental_(incremental) {}
+
+const std::vector<std::uint64_t>& LivePathCounts::current() {
+  const std::uint64_t now = paths_.topo().state_version();
+  if (valid_ && version_ == now) return counts_;
+  paths_.up_paths_into(counts_);
+  version_ = now;
+  valid_ = true;
+  ++full_recounts_;
+  obs_full_recounts_.add();
+  return counts_;
+}
+
+void LivePathCounts::fold(
+    std::span<const std::pair<SwitchId, std::uint64_t>> updates) {
+  for (const auto& [sw, value] : updates) counts_[sw.index()] = value;
+  version_ = paths_.topo().state_version();
+}
+
+void LivePathCounts::note_links_changed(std::span<const LinkId> links) {
+  if (!incremental_ || !valid_) return;
+  const std::uint64_t now = paths_.topo().state_version();
+  if (version_ == now) return;
+  // Each effective enabled-state change bumps the version by one.
+  if (now - version_ > links.size()) {
+    valid_ = false;
+    return;
+  }
+  paths_.refresh_counts_after_changes(counts_, links, nullptr, scratch_);
+  version_ = now;
+  obs_delta_updates_.add();
+}
+
+void LivePathCounts::set_sink(obs::Sink* sink) {
+  if (sink == nullptr || sink->metrics == nullptr) {
+    obs_full_recounts_ = obs::Counter();
+    obs_delta_updates_ = obs::Counter();
+    return;
+  }
+  obs_full_recounts_ = sink->metrics->counter("fastcheck.cache_refreshes");
+  obs_delta_updates_ = incremental_
+                           ? sink->metrics->counter("fastcheck.delta_updates")
+                           : obs::Counter();
+}
+
+void LivePathCounts::snapshot_to(common::snap::Writer& w) const {
+  w.section(common::snap::tag('P', 'A', 'T', 'H'), 1);
+  w.boolean(valid_);
+  w.u64(version_);
+  w.u64(counts_.size());
+  for (std::uint64_t count : counts_) w.u64(count);
+}
+
+void LivePathCounts::restore_from(common::snap::Reader& r) {
+  r.expect_section(common::snap::tag('P', 'A', 'T', 'H'));
+  valid_ = r.boolean();
+  version_ = r.u64();
+  const std::uint64_t size = r.u64();
+  if (size != 0 && size != paths_.design_paths().size()) {
+    common::snap::fail("path counts: switch count mismatch");
+  }
+  counts_.resize(size);
+  for (std::uint64_t& count : counts_) count = r.u64();
+}
+
 }  // namespace corropt::core

@@ -12,17 +12,21 @@
 // construction: one level-descending switch order plus contiguous
 // (link index, upper switch index) pairs per switch. A sweep then streams
 // through two uint32 arrays and two bitsets instead of pointer-chasing
-// Switch and Link structs. This module also keeps the brute-force DFS
+// Switch and Link structs. LivePathCounts keeps one topology's current
+// counts for every reader. This module also keeps the brute-force DFS
 // enumerator used to verify the sweep in tests.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/bitset.h"
 #include "common/ids.h"
+#include "common/snapshot.h"
 #include "corropt/capacity.h"
+#include "obs/sink.h"
 #include "topology/topology.h"
 
 namespace corropt::core {
@@ -217,6 +221,59 @@ class PathCounter {
   // downlinks (duplicates possible with parallel links; harmless).
   std::vector<std::uint32_t> down_offset_;  // switch_count + 1 entries
   std::vector<std::uint32_t> down_lower_;
+};
+
+// The live up-path counts of one topology (DESIGN.md §12): a PathCounter
+// plus the counts of the current enabled state, keyed by
+// Topology::state_version(). A controller owns exactly one and shares it
+// with every reader: the fast checker folds its closure recounts in, the
+// optimizer prunes against it, and the simulator samples it. A read at a
+// version the cache does not hold recounts the fabric, so changes nobody
+// reported are always caught; in incremental mode a reported change is
+// folded in as a downward-closure delta instead.
+class LivePathCounts {
+ public:
+  // `incremental` turns on the delta folds of note_links_changed().
+  explicit LivePathCounts(const topology::Topology& topo,
+                          bool incremental = false);
+
+  [[nodiscard]] const PathCounter& paths() const { return paths_; }
+
+  // Counts for the current enabled state, recounted first when stale.
+  const std::vector<std::uint64_t>& current();
+
+  // Folds in the downstream-closure recount of one enabled-state change,
+  // taken against current() just before the caller made that change.
+  void fold(std::span<const std::pair<SwitchId, std::uint64_t>> updates);
+
+  // Reports enabled-state changes of `links` since the cache was last
+  // current: recounts their downward closure in incremental mode, or
+  // drops the cache when the version gap shows an unreported change.
+  void note_links_changed(std::span<const LinkId> links);
+
+  // Version of the cached counts (after current()) and full recounts so far.
+  [[nodiscard]] std::uint64_t version() const { return version_; }
+  [[nodiscard]] std::uint64_t full_recounts() const { return full_recounts_; }
+
+  // Search-effort counters: "fastcheck.cache_refreshes" (full recounts)
+  // and, in incremental mode only, "fastcheck.delta_updates".
+  void set_sink(obs::Sink* sink);
+
+  // Checkpointed faithfully with the version key (DESIGN.md §14): a
+  // restored run must not pay a recount the fresh run never does.
+  void snapshot_to(common::snap::Writer& w) const;
+  void restore_from(common::snap::Reader& r);
+
+ private:
+  PathCounter paths_;
+  bool incremental_;
+  std::vector<std::uint64_t> counts_;
+  std::uint64_t version_ = 0;
+  bool valid_ = false;
+  std::uint64_t full_recounts_ = 0;
+  PathCounter::SweepScratch scratch_;
+  obs::Counter obs_full_recounts_;
+  obs::Counter obs_delta_updates_;
 };
 
 // Exhaustive DFS path enumeration; exponential, for tests only.

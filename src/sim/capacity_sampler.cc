@@ -23,13 +23,14 @@ void CapacitySampler::start() {
 void CapacitySampler::handle_sample(const Event& event) {
   SimulationMetrics& metrics = *ctx_.metrics;
   const SimTime t = event.due;
-  const std::vector<std::uint64_t> counts = ctx_.paths.up_paths();
+  core::LivePathCounts& live = ctx_.controller.path_counts();
+  const std::vector<std::uint64_t>& counts = live.current();
+  const std::vector<std::uint64_t>& designs = live.paths().design_paths();
   double worst = 1.0;
   double sum = 0.0;
   const auto& tors = ctx_.topo.tors();
   for (common::SwitchId tor : tors) {
-    const double design =
-        static_cast<double>(ctx_.paths.design_paths()[tor.index()]);
+    const double design = static_cast<double>(designs[tor.index()]);
     const double fraction =
         design == 0.0 ? 1.0
                       : static_cast<double>(counts[tor.index()]) / design;

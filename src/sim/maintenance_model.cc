@@ -6,11 +6,7 @@
 
 namespace corropt::sim {
 
-MaintenanceModel::MaintenanceModel(SimContext& ctx)
-    : ctx_(ctx), constraint_(ctx.config.capacity_fraction) {
-  for (const auto& [tor, fraction] : ctx_.config.tor_overrides) {
-    constraint_.set_tor_fraction(tor, fraction);
-  }
+MaintenanceModel::MaintenanceModel(SimContext& ctx) : ctx_(ctx) {
   ctx_.queue.set_handler(EventType::kMaintenanceStart,
                          [this](const Event& event) { start(event.link); });
 }
@@ -41,8 +37,10 @@ void MaintenanceModel::start(common::LinkId link) {
   metrics.collateral_link_seconds +=
       static_cast<double>(taken.size()) *
       static_cast<double>(ctx_.config.maintenance_window);
+  core::Controller& controller = ctx_.controller;
+  core::LivePathCounts& live = controller.path_counts();
   if (!taken.empty() &&
-      !ctx_.paths.feasible(ctx_.paths.up_paths(), constraint_)) {
+      !live.paths().feasible(live.current(), controller.constraint())) {
     ++metrics.maintenance_capacity_violations;
   }
   obs::Event event;

@@ -9,16 +9,13 @@
 #include <vector>
 
 #include "common/ids.h"
-#include "corropt/capacity.h"
 #include "sim/sim_context.h"
 
 namespace corropt::sim {
 
 class MaintenanceModel {
  public:
-  // Mirrors the capacity constraint (global fraction + per-ToR
-  // overrides) for violation accounting, and registers the
-  // kMaintenanceStart handler on the kernel.
+  // Registers the kMaintenanceStart handler on the kernel.
   explicit MaintenanceModel(SimContext& ctx);
 
   // Called when a ticket opens: schedules the window so it ends at the
@@ -41,9 +38,6 @@ class MaintenanceModel {
   void start(common::LinkId link);
 
   SimContext& ctx_;
-  // The capacity constraint mirrored from the controller, for
-  // maintenance-window violation accounting.
-  core::CapacityConstraint constraint_;
   // Healthy breakout siblings we took down for each link's maintenance.
   std::unordered_map<common::LinkId, std::vector<common::LinkId>>
       collateral_down_;

@@ -20,7 +20,6 @@
 
 #include "common/rng.h"
 #include "corropt/controller.h"
-#include "corropt/path_counter.h"
 #include "faults/injector.h"
 #include "sim/capacity_sampler.h"
 #include "sim/checkpoint.h"
@@ -91,7 +90,6 @@ class MitigationSimulation {
   telemetry::NetworkState state_;
   faults::FaultInjector injector_;
   core::Controller controller_;
-  core::PathCounter paths_;
 
   // Kernel. The context references everything above plus the kernel, so
   // declaration order matters: domain state, kernel, context, components.

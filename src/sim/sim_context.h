@@ -20,7 +20,6 @@
 
 #include "common/rng.h"
 #include "corropt/controller.h"
-#include "corropt/path_counter.h"
 #include "faults/injector.h"
 #include "obs/sink.h"
 #include "sim/event_queue.h"
@@ -38,7 +37,6 @@ struct SimContext {
   telemetry::NetworkState& state;
   faults::FaultInjector& injector;
   core::Controller& controller;
-  core::PathCounter& paths;
   Clock& clock;
   EventQueue& queue;
 

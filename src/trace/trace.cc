@@ -1,6 +1,7 @@
 #include "trace/trace.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <charconv>
 #include <stdexcept>
@@ -123,6 +124,16 @@ std::string pack_effects(const std::vector<faults::DirectionEffect>& effects) {
   return out.str();
 }
 
+// Parses an integer field that must name one of `all`'s enumerators.
+template <typename Enum, std::size_t N>
+Enum parse_enum(const std::string& field, const std::array<Enum, N>& all) {
+  const int value = std::stoi(field);
+  for (const Enum e : all) {
+    if (static_cast<int>(e) == value) return e;
+  }
+  throw std::invalid_argument("enum value " + field + " out of range");
+}
+
 // Splits on `sep`, preserving empty fields — including a trailing one,
 // so "1:2:" is three fields and a row with an empty final column fails
 // its shape/number checks instead of silently shifting. An empty input
@@ -176,15 +187,14 @@ std::vector<TraceEvent> read_trace(std::istream& in) {
       TraceEvent event;
       event.time = std::stoll(fields[0]);
       event.fault.onset = event.time;
-      event.fault.cause =
-          static_cast<faults::RootCause>(std::stoi(fields[1]));
+      event.fault.cause = parse_enum(fields[1], faults::kAllRootCauses);
       for (const std::string& part : split(fields[2], ';')) {
         event.fault.links.emplace_back(
             static_cast<common::LinkId::underlying_type>(std::stoul(part)));
       }
       for (const std::string& part : split(fields[3], ';')) {
         event.fault.fixing_actions.push_back(
-            static_cast<faults::RepairAction>(std::stoi(part)));
+            parse_enum(part, faults::kAllRepairActions));
       }
       for (const std::string& part : split(fields[4], ';')) {
         const std::vector<std::string> cols = split(part, ':');

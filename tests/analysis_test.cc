@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "analysis/locality.h"
@@ -13,6 +14,46 @@
 
 namespace corropt::analysis {
 namespace {
+
+// Study accumulator over per-direction state: `update(state, sample)`
+// sees every sample that carried packets. The default tile grid keeps a
+// direction's whole series in one partial, so merging moves states over.
+template <typename State, typename Update>
+struct PerDirection {
+  Update update;
+  std::unordered_map<std::uint32_t, State> states;
+
+  struct Partial {
+    Update update;
+    std::unordered_map<std::uint32_t, State> states;
+    void add(const telemetry::PollSample& sample) {
+      if (sample.packets == 0) return;
+      update(states[sample.direction.value()], sample);
+    }
+  };
+  [[nodiscard]] Partial make_partial() const { return Partial{update, {}}; }
+  void merge(Partial& partial) {
+    for (auto& [dir, state] : partial.states) states[dir] = std::move(state);
+  }
+};
+
+template <typename State, typename Update>
+PerDirection<State, Update> per_direction(Update update) {
+  return {update, {}};
+}
+
+// Sums corruption drops plus utilization over every sample.
+struct SampleSum {
+  double sum = 0.0;
+  struct Partial {
+    double sum = 0.0;
+    void add(const telemetry::PollSample& s) {
+      sum += static_cast<double>(s.corruption_drops) + s.utilization;
+    }
+  };
+  [[nodiscard]] Partial make_partial() const { return {}; }
+  void merge(Partial& partial) { sum += partial.sum; }
+};
 
 TEST(Locality, SwitchFractionCountsIncidentSwitches) {
   const auto topo = topology::build_fat_tree(4);  // 20 switches
@@ -81,25 +122,22 @@ TEST(MeasurementStudy, CorruptionStableCongestionVariable) {
   config.congestion.hotspot_switch_fraction = 0.15;
   MeasurementStudy study(topo, config);
 
-  std::unordered_map<std::uint32_t, stats::RunningStats> corruption_series;
-  std::unordered_map<std::uint32_t, stats::RunningStats> congestion_series;
-  study.run([&](const telemetry::PollSample& sample) {
-    if (sample.packets == 0) return;
-    corruption_series[sample.direction.value()].add(
-        sample.corruption_loss_rate());
-    congestion_series[sample.direction.value()].add(
-        sample.congestion_loss_rate());
-  });
+  // (corruption, congestion) loss-rate series per direction.
+  using Series = std::pair<stats::RunningStats, stats::RunningStats>;
+  auto acc = per_direction<Series>(
+      [](Series& series, const telemetry::PollSample& sample) {
+        series.first.add(sample.corruption_loss_rate());
+        series.second.add(sample.congestion_loss_rate());
+      });
+  study.run(acc);
 
   stats::RunningStats corruption_cv, congestion_cv;
-  for (auto& [dir, series] : corruption_series) {
-    if (series.mean() > 1e-8) {
-      corruption_cv.add(series.coefficient_of_variation());
+  for (auto& [dir, series] : acc.states) {
+    if (series.first.mean() > 1e-8) {
+      corruption_cv.add(series.first.coefficient_of_variation());
     }
-  }
-  for (auto& [dir, series] : congestion_series) {
-    if (series.mean() > 1e-8) {
-      congestion_cv.add(series.coefficient_of_variation());
+    if (series.second.mean() > 1e-8) {
+      congestion_cv.add(series.second.coefficient_of_variation());
     }
   }
   ASSERT_GT(corruption_cv.count(), 3u);
@@ -118,28 +156,28 @@ TEST(MeasurementStudy, CorruptionUncorrelatedCongestionCorrelated) {
   config.congestion.hotspot_switch_fraction = 0.15;
   MeasurementStudy study(topo, config);
 
-  std::unordered_map<std::uint32_t, stats::PearsonAccumulator> corr_acc;
-  std::unordered_map<std::uint32_t, stats::PearsonAccumulator> cong_acc;
-  study.run([&](const telemetry::PollSample& sample) {
-    if (sample.packets == 0) return;
-    const double corruption = sample.corruption_loss_rate();
-    const double congestion = sample.congestion_loss_rate();
-    if (corruption > 0.0) {
-      corr_acc[sample.direction.value()].add(
-          sample.utilization, std::log10(std::max(corruption, 1e-10)));
-    }
-    if (congestion > 0.0) {
-      cong_acc[sample.direction.value()].add(
-          sample.utilization, std::log10(std::max(congestion, 1e-10)));
-    }
-  });
+  // (corruption, congestion) utilization-vs-log-loss per direction.
+  using Pair =
+      std::pair<stats::PearsonAccumulator, stats::PearsonAccumulator>;
+  auto acc = per_direction<Pair>(
+      [](Pair& pair, const telemetry::PollSample& sample) {
+        const double corruption = sample.corruption_loss_rate();
+        const double congestion = sample.congestion_loss_rate();
+        if (corruption > 0.0) {
+          pair.first.add(sample.utilization,
+                         std::log10(std::max(corruption, 1e-10)));
+        }
+        if (congestion > 0.0) {
+          pair.second.add(sample.utilization,
+                          std::log10(std::max(congestion, 1e-10)));
+        }
+      });
+  study.run(acc);
 
   stats::RunningStats corruption_r, congestion_r;
-  for (auto& [dir, acc] : corr_acc) {
-    if (acc.count() > 20) corruption_r.add(acc.correlation());
-  }
-  for (auto& [dir, acc] : cong_acc) {
-    if (acc.count() > 20) congestion_r.add(acc.correlation());
+  for (auto& [dir, pair] : acc.states) {
+    if (pair.first.count() > 20) corruption_r.add(pair.first.correlation());
+    if (pair.second.count() > 20) congestion_r.add(pair.second.correlation());
   }
   ASSERT_GT(corruption_r.count(), 3u);
   ASSERT_GT(congestion_r.count(), 3u);
@@ -153,20 +191,10 @@ TEST(MeasurementStudy, DeterministicAcrossRuns) {
   StudyConfig config;
   config.days = 1;
   config.epoch = 6 * common::kHour;
-  double sum_a = 0.0, sum_b = 0.0;
-  {
-    MeasurementStudy study(topo, config);
-    study.run([&](const telemetry::PollSample& s) {
-      sum_a += static_cast<double>(s.corruption_drops) + s.utilization;
-    });
-  }
-  {
-    MeasurementStudy study(topo, config);
-    study.run([&](const telemetry::PollSample& s) {
-      sum_b += static_cast<double>(s.corruption_drops) + s.utilization;
-    });
-  }
-  EXPECT_DOUBLE_EQ(sum_a, sum_b);
+  SampleSum a, b;
+  MeasurementStudy(topo, config).run(a);
+  MeasurementStudy(topo, config).run(b);
+  EXPECT_DOUBLE_EQ(a.sum, b.sum);
 }
 
 }  // namespace

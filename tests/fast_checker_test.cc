@@ -13,7 +13,8 @@ namespace {
 TEST(FastChecker, DisablesWhenCapacityPermits) {
   auto topo = topology::build_fat_tree(4);
   CapacityConstraint constraint(0.5);  // Each ToR may lose half its paths.
-  FastChecker checker(topo, constraint);
+  LivePathCounts path_counts(topo);
+  FastChecker checker(topo, path_counts, constraint);
   const auto tor = topo.tors().front();
   const auto uplinks = topo.switch_at(tor).uplinks;
   EXPECT_TRUE(checker.try_disable(uplinks[0]));  // 2/4 left: OK.
@@ -25,7 +26,8 @@ TEST(FastChecker, DisablesWhenCapacityPermits) {
 TEST(FastChecker, IdempotentOnDisabledLinks) {
   auto topo = topology::build_fat_tree(4);
   CapacityConstraint constraint(0.5);
-  FastChecker checker(topo, constraint);
+  LivePathCounts path_counts(topo);
+  FastChecker checker(topo, path_counts, constraint);
   const auto link = topo.switch_at(topo.tors().front()).uplinks[0];
   EXPECT_TRUE(checker.try_disable(link));
   EXPECT_TRUE(checker.try_disable(link));
@@ -37,7 +39,8 @@ TEST(FastChecker, ConsidersRemoteTors) {
   // must account for ToRs that are not adjacent to the link.
   auto topo = topology::build_fat_tree(4);
   CapacityConstraint constraint(0.75);  // Each ToR needs 3 of 4 paths.
-  FastChecker checker(topo, constraint);
+  LivePathCounts path_counts(topo);
+  FastChecker checker(topo, path_counts, constraint);
   const auto tor = topo.tors().front();
   // Disable one ToR uplink elsewhere first... the pod ToR is at 4/4 now;
   // one agg-spine uplink in the pod removes 1 path from both pod ToRs.
@@ -52,7 +55,8 @@ TEST(FastChecker, ConsidersRemoteTors) {
 TEST(FastChecker, CanDisableDoesNotMutate) {
   auto topo = topology::build_fat_tree(4);
   CapacityConstraint constraint(0.5);
-  FastChecker checker(topo, constraint);
+  LivePathCounts path_counts(topo);
+  FastChecker checker(topo, path_counts, constraint);
   const auto link = topo.switch_at(topo.tors().front()).uplinks[0];
   EXPECT_TRUE(checker.can_disable(link));
   EXPECT_TRUE(topo.is_enabled(link));
@@ -64,7 +68,8 @@ TEST(FastChecker, BeatsSwitchLocalOnFig10Example) {
   // every corrupting link that keeps T at >= 60% of its 25 paths.
   testing::Fig10Example ex = testing::make_fig10_example();
   CapacityConstraint constraint(0.6);
-  FastChecker checker(ex.topo, constraint);
+  LivePathCounts path_counts(ex.topo);
+  FastChecker checker(ex.topo, path_counts, constraint);
   std::size_t disabled = 0;
   for (common::LinkId link : ex.corrupting) {
     if (checker.try_disable(link)) ++disabled;
@@ -96,7 +101,8 @@ TEST_P(FastCheckerPropertyTest, NeverViolatesConstraint) {
   auto topo = topology::build_xgft(spec);
   const double fraction = rng.uniform(0.3, 0.9);
   CapacityConstraint constraint(fraction);
-  FastChecker checker(topo, constraint);
+  LivePathCounts path_counts(topo);
+  FastChecker checker(topo, path_counts, constraint);
   PathCounter counter(topo);
 
   for (int step = 0; step < 40; ++step) {
@@ -145,7 +151,8 @@ TEST_P(IncrementalEquivalenceTest, MatchesFullSweep) {
   }
   auto topo = topology::build_xgft(spec);
   CapacityConstraint constraint(rng.uniform(0.3, 0.8));
-  FastChecker checker(topo, constraint);
+  LivePathCounts path_counts(topo);
+  FastChecker checker(topo, path_counts, constraint);
 
   for (int step = 0; step < 60; ++step) {
     const common::LinkId link(static_cast<common::LinkId::underlying_type>(

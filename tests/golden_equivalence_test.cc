@@ -3,8 +3,11 @@
 // configuration grid (checker mode x repair verification x detection
 // mode x collateral modeling) with an observability sink attached and
 // compares every SimulationMetrics field, the penalty/capacity series,
-// and the obs journal bytes against fixtures recorded from the
-// pre-refactor build (tests/golden/sim_equivalence.txt).
+// the obs journal bytes and the obs registry against fixtures recorded
+// from the pre-refactor build (tests/golden/sim_equivalence.txt). The
+// registry is hashed twice: a decision digest over every counter except
+// the search-effort ones, and an effort digest over those alone, so a
+// cache change that only moves effort cannot hide a decision change.
 //
 // Doubles are serialized with %.17g (lossless round-trip); series and
 // journal bytes are compared through FNV-1a 64 digests plus lengths, so
@@ -12,9 +15,12 @@
 //
 // Regenerating (only when an intentional behaviour change lands):
 //   CORROPT_GOLDEN_RECORD=1 ./tests/golden_equivalence_test
-// which rewrites the fixture in the source tree.
+// which rewrites the fixture in the source tree. A change that only
+// moves search effort re-records the obs_effort.digest lines alone.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -22,6 +28,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -74,6 +81,19 @@ std::uint64_t digest_doubles(const std::vector<double>& values) {
     hash = fnv1a(hash, &bits, sizeof(bits));
   }
   return hash;
+}
+
+// Registry counters that measure search effort rather than decisions
+// (DESIGN.md §12 lists them as the ones incremental state may change).
+constexpr std::array<std::string_view, 6> kEffortCounters = {
+    "fastcheck.cache_refreshes", "fastcheck.delta_updates",
+    "optimizer.subsets_evaluated", "optimizer.cache_skips",
+    "optimizer.accept_skips",     "optimizer.bound_skips",
+};
+
+bool is_effort_counter(std::string_view name) {
+  return std::find(kEffortCounters.begin(), kEffortCounters.end(), name) !=
+         kEffortCounters.end();
 }
 
 using Params =
@@ -206,18 +226,32 @@ Lines run_config(const Params& params) {
           fnv1a(kFnvBasis, journal_str.data(), journal_str.size()));
 
   // Metric registry snapshot (timers carry wall clock and are excluded,
-  // the same exception DESIGN.md (sec)7 sanctions).
+  // the same exception DESIGN.md (sec)7 sanctions), split in two: the
+  // search-effort counters say how hard the fast checker and optimizer
+  // worked and may move when a cache changes; everything else records a
+  // decision and must not.
+  obs::MetricsSnapshot decisions = registry.snapshot();
+  std::ostringstream effort_bytes;
+  std::erase_if(decisions.counters,
+                [&effort_bytes](const obs::MetricsSnapshot::CounterValue& c) {
+                  if (!is_effort_counter(c.name)) return false;
+                  effort_bytes << c.name << '=' << c.value << '\n';
+                  return true;
+                });
   std::ostringstream registry_bytes;
   {
     common::JsonWriter json(registry_bytes);
     json.begin_object();
-    registry.snapshot().write_json(json, /*include_timers=*/false);
+    decisions.write_json(json, /*include_timers=*/false);
     json.end_object();
   }
   const std::string registry_str = registry_bytes.str();
-  add_u64("obs_metrics.bytes", registry_str.size());
-  add_u64("obs_metrics.digest",
+  add_u64("obs_decisions.bytes", registry_str.size());
+  add_u64("obs_decisions.digest",
           fnv1a(kFnvBasis, registry_str.data(), registry_str.size()));
+  const std::string effort_str = effort_bytes.str();
+  add_u64("obs_effort.digest",
+          fnv1a(kFnvBasis, effort_str.data(), effort_str.size()));
   return lines;
 }
 

@@ -16,8 +16,6 @@
 namespace corropt::analysis {
 namespace {
 
-using telemetry::PollSample;
-
 StudyConfig small_config(common::SimDuration epoch) {
   StudyConfig config;
   config.days = 2;
@@ -119,34 +117,6 @@ TEST(MeasurementStudyParallel, LossCapableFastPathMatchesFullScan) {
       EXPECT_EQ(full.inner.totals()[i].congestion_drops, 0u);
     }
   }
-}
-
-TEST(MeasurementStudyParallel, VisitorRunMatchesAccumulatorRun) {
-  const auto topo = topology::build_fat_tree(8);
-  const MeasurementStudy study(topo, small_config(common::kHour));
-
-  FullScanTotals from_accumulator(topo.direction_count());
-  study.run(from_accumulator, nullptr);
-
-  DirectionTotalsAccumulator from_visitor(topo.direction_count());
-  auto partial = from_visitor.make_partial();
-  std::uint32_t last_direction = 0;
-  bool ascending = true;
-  std::size_t samples = 0;
-  study.run([&](const PollSample& s) {
-    ascending = ascending && s.direction.value() >= last_direction;
-    last_direction = s.direction.value();
-    partial.add(s);
-    ++samples;
-  });
-  from_visitor.merge(partial);
-
-  // The legacy visitor walks the whole fabric direction-major.
-  EXPECT_TRUE(ascending);
-  const auto epochs = static_cast<std::size_t>(
-      2 * (common::kDay / common::kHour));
-  EXPECT_EQ(samples, topo.direction_count() * epochs);
-  expect_same_totals(from_visitor, from_accumulator.inner);
 }
 
 TEST(MeasurementStudyParallel, RunManyMatchesSoloRuns) {

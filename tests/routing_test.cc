@@ -81,7 +81,8 @@ TEST(Wcmp, OverloadBoundedUnderCorrOptDegradation) {
   common::Rng rng(21);
   auto topo = topology::build_fat_tree(8);
   CapacityConstraint constraint(0.5);
-  FastChecker checker(topo, constraint);
+  LivePathCounts path_counts(topo);
+  FastChecker checker(topo, path_counts, constraint);
   for (int i = 0; i < 200; ++i) {
     checker.try_disable(common::LinkId(
         static_cast<common::LinkId::underlying_type>(

@@ -15,7 +15,8 @@ std::size_t max_disabled(const SatInstance& instance) {
   CorruptionSet corruption;
   // Equal error properties on every link in L, as the reduction requires.
   for (common::LinkId link : gadget.corrupting) corruption.mark(link, 1e-3);
-  Optimizer optimizer(gadget.topo, gadget.connectivity,
+  LivePathCounts path_counts(gadget.topo);
+  Optimizer optimizer(gadget.topo, path_counts, gadget.connectivity,
                       PenaltyFunction::linear());
   const OptimizerResult result = optimizer.run(corruption);
   EXPECT_TRUE(result.exact);

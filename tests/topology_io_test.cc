@@ -64,6 +64,25 @@ TEST(TopologyIo, NamesWithCommasSurvive) {
   EXPECT_EQ(parsed->switch_at(a).name, "tor-1,rack \"A\"");
 }
 
+// Two malformed rows are plain tests rather than cases of the suite below, so
+// their ctest names are stable: ctest names a parameterised case after gtest's
+// byte dump of its parameter, and a BadInput holds string-literal addresses,
+// which ASLR moves from run to run.
+bool rejects(const char* text) {
+  std::stringstream buffer(text);
+  std::string error;
+  const bool rejected = !read_topology(buffer, &error).has_value();
+  return rejected && !error.empty();
+}
+
+TEST(TopologyIo, RejectsUnknownRowKind) {
+  EXPECT_TRUE(rejects("host,0,0,0,h\n"));
+}
+
+TEST(TopologyIo, RejectsNonNumericField) {
+  EXPECT_TRUE(rejects("switch,zero,0,0,a\n"));
+}
+
 struct BadInput {
   const char* name;
   const char* text;
@@ -81,7 +100,6 @@ TEST_P(TopologyIoErrorTest, RejectsMalformedInput) {
 INSTANTIATE_TEST_SUITE_P(
     Malformed, TopologyIoErrorTest,
     ::testing::Values(
-        BadInput{"unknown_kind", "host,0,0,0,h\n"},
         BadInput{"sparse_switch_ids", "switch,0,0,0,a\nswitch,2,1,0,b\n"},
         BadInput{"switch_after_link",
                  "switch,0,0,0,a\nswitch,1,1,0,b\nlink,0,0,1,1,-1\n"
@@ -90,8 +108,7 @@ INSTANTIATE_TEST_SUITE_P(
                  "switch,0,0,0,a\nswitch,1,1,0,b\nlink,0,0,9,1,-1\n"},
         BadInput{"link_non_adjacent",
                  "switch,0,0,0,a\nswitch,1,2,0,b\nlink,0,0,1,1,-1\n"},
-        BadInput{"short_switch_row", "switch,0,0\n"},
-        BadInput{"non_numeric", "switch,zero,0,0,a\n"}),
+        BadInput{"short_switch_row", "switch,0,0\n"}),
     [](const ::testing::TestParamInfo<BadInput>& info) {
       return info.param.name;
     });

@@ -117,6 +117,10 @@ TEST(TraceCsv, SkipsMalformedRowsWithoutDying) {
       "200,0,7,0,badeffect\n"
       "300,xyz,7,0,14:8.0:0:0:0.001\n"
       "400,1,,1,16:8.0:0:0:0.001\n"
+      // Enum fields naming no enumerator (cause 99, action -1 or 6).
+      "410,99,5,0,10:8.0:0:0:0.001\n"
+      "420,0,6,-1,12:8.0:0:0:0.001\n"
+      "430,0,7,2;6,14:8.0:0:0:0.001\n"
       "500,4,8;9,5,16:0:0:0:0.001;18:0:0:0:0.0012\n");
   const auto events = read_trace(buffer);
   ASSERT_EQ(events.size(), 2u);
@@ -125,6 +129,11 @@ TEST(TraceCsv, SkipsMalformedRowsWithoutDying) {
   EXPECT_EQ(events[1].time, 500);
   EXPECT_EQ(events[1].fault.links.size(), 2u);
   EXPECT_EQ(events[1].fault.effects.size(), 2u);
+  // The last enumerators still parse.
+  EXPECT_EQ(events[1].fault.cause, faults::RootCause::kSharedComponent);
+  EXPECT_EQ(events[1].fault.fixing_actions,
+            std::vector<faults::RepairAction>{
+                faults::RepairAction::kReplaceSharedComponent});
 }
 
 TEST(TraceCsv, TrailingEmptyFieldsAreMalformedNotTruncated) {
